@@ -370,7 +370,7 @@ type Response struct {
 }
 
 // Transport delivers requests to a server and returns responses. The
-// in-process, multiplexed-TCP, and lock-step-TCP transports all satisfy it.
+// in-process and multiplexed-TCP transports both satisfy it.
 // A Transport is safe for concurrent use by multiple goroutines (sessions):
 // one socket may carry a prefetch pump's batch reads interleaved with
 // foreground faults, or several whole client sessions.

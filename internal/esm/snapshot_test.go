@@ -1,10 +1,14 @@
 package esm
 
 import (
+	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"quickstore/internal/disk"
+	"quickstore/internal/lock"
 	"quickstore/internal/wal"
 )
 
@@ -117,6 +121,150 @@ func TestSnapshotReadsAreStableAndLockFree(t *testing.T) {
 	}
 	st := srv.mv.Stats()
 	if st.Pins != 0 {
+		t.Fatalf("pins leaked: %+v", st)
+	}
+}
+
+// Snapshot readers racing live writers take no lock grants: two writers
+// commit under Exclusive page locks on the very pages several snapshot
+// sessions sweep, and the lock manager's grant count moves by exactly the
+// writers' own locks.
+func TestSnapshotReadsUnderConcurrentWritersTakeNoLocks(t *testing.T) {
+	const (
+		pages   = 8
+		off     = 256
+		writers = 2
+		readers = 3
+		sweeps  = 20
+	)
+	srv, mk := newSnapServer(t, -1)
+	setup := mk()
+	if err := setup.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	first, err := setup.AllocPages(pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := setup.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < pages; p++ {
+		commitBytes(t, setup, first+disk.PageID(p), off, "w000")
+	}
+
+	grants0, _ := srv.locks.Stats()
+	stop := make(chan struct{})
+	committed := make(chan struct{}, writers)
+	var writerLocks, writerCommits atomic.Int64
+	writerErrs := make([]error, writers)
+	var writerWG sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writerWG.Add(1)
+		go func(w int) {
+			defer writerWG.Done()
+			signalled := false
+			defer func() {
+				if !signalled { // failed before its first commit; unblock the test
+					committed <- struct{}{}
+				}
+			}()
+			c := mk()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				pid := first + disk.PageID((w+n)%pages)
+				writerErrs[w] = func() error {
+					if err := c.Begin(); err != nil {
+						return err
+					}
+					if err := c.Lock(lock.KindPage, uint32(pid), lock.Exclusive); err != nil {
+						return err
+					}
+					writerLocks.Add(1)
+					i, err := c.FetchPage(pid)
+					if err != nil {
+						return err
+					}
+					data := c.PageData(i)
+					old := append([]byte(nil), data[off:off+4]...)
+					val := []byte(fmt.Sprintf("w%d%02d", w, n%100))
+					copy(data[off:], val)
+					c.LogUpdate(pid, off, old, val)
+					if err := c.MarkDirty(pid); err != nil {
+						return err
+					}
+					return c.Commit()
+				}()
+				if writerErrs[w] != nil {
+					return
+				}
+				writerCommits.Add(1)
+				if !signalled {
+					signalled = true
+					committed <- struct{}{}
+				}
+			}
+		}(w)
+	}
+	// Readers start once every writer is committing, so the sweeps race them.
+	for w := 0; w < writers; w++ {
+		<-committed
+	}
+
+	var reads atomic.Int64
+	readerErrs := make([]error, readers)
+	var readerWG sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		readerWG.Add(1)
+		go func(r int) {
+			defer readerWG.Done()
+			c := mk()
+			readerErrs[r] = func() error {
+				for s := 0; s < sweeps; s++ {
+					if err := c.BeginSnapshot(); err != nil {
+						return err
+					}
+					for p := 0; p < pages; p++ {
+						pid := first + disk.PageID((r+p)%pages)
+						i, err := c.FetchPage(pid)
+						if err != nil {
+							return fmt.Errorf("sweep %d page %d: %w", s, pid, err)
+						}
+						if got := c.PageData(i)[off : off+4]; got[0] != 'w' {
+							return fmt.Errorf("sweep %d page %d: read %q, not a committed value", s, pid, got)
+						}
+						reads.Add(1)
+					}
+					if err := c.EndSnapshot(); err != nil {
+						return err
+					}
+				}
+				return nil
+			}()
+		}(r)
+	}
+	readerWG.Wait()
+	close(stop)
+	writerWG.Wait()
+	for _, err := range append(readerErrs, writerErrs...) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if got, want := reads.Load(), int64(readers*sweeps*pages); got != want {
+		t.Fatalf("completed %d snapshot reads, want %d", got, want)
+	}
+	grants1, _ := srv.locks.Stats()
+	if readerGrants := grants1 - grants0 - writerLocks.Load(); readerGrants != 0 {
+		t.Fatalf("snapshot readers took %d lock grants alongside %d writer commits, want 0",
+			readerGrants, writerCommits.Load())
+	}
+	if st := srv.mv.Stats(); st.Pins != 0 {
 		t.Fatalf("pins leaked: %+v", st)
 	}
 }
