@@ -20,6 +20,13 @@
 // BENCH_<exp>.json in the current directory, for tracking results across
 // revisions.
 //
+// The output of "-exp all" is deterministic and pinned by
+// testdata/exp_all.golden, which CI diffs against a fresh run. When a
+// change means to move a paper table, regenerate the file from the repo
+// root with
+//
+//	go run ./cmd/oo7bench -exp all > cmd/oo7bench/testdata/exp_all.golden
+//
 // Times are deterministic simulated milliseconds from the calibrated 1994
 // cost model (see internal/sim); I/O counts, fault counts, and log volumes
 // are measured for real. Absolute values are not expected to match the

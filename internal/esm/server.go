@@ -124,8 +124,8 @@ type ServerConfig struct {
 // Lock order: catMu → mu → (wal.Log.mu | volume lock). Pool stripe latches
 // and frame content latches are taken with neither mu nor catMu held; the
 // pool's FlushFn (steal write-back) runs under a frame content latch and
-// takes the log and volume locks, never mu. sim.Clock, faultinject.Plane,
-// and lock.Manager locks are leaves.
+// takes the log and volume locks, never mu. faultinject.Plane and
+// lock.Manager locks are leaves; the cost clock (sim.Clock) is lock-free.
 type Server struct {
 	mu    sync.Mutex
 	vol   disk.Volume

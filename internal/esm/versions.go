@@ -28,12 +28,11 @@ import (
 // decision, abort undo, restart recovery — moves the version first or
 // atomically, never after the fact.
 //
-// Lock order: cohState.mu ranks BELOW sim.Clock and above the pool's
-// frame content latches — it is taken under Server.mu (commit/abort
-// bookkeeping, like mvcc.Store.mu) and under a frame content latch (the
-// abort undo bumps versions while holding the exclusive latch so readers
-// can never pair new bytes with an old version), and it never acquires
-// anything itself.
+// Lock order: cohState.mu ranks above the pool's frame content latches —
+// it is taken under Server.mu (commit/abort bookkeeping, like
+// mvcc.Store.mu) and under a frame content latch (the abort undo bumps
+// versions while holding the exclusive latch so readers can never pair
+// new bytes with an old version), and it never acquires anything itself.
 type cohState struct {
 	mu sync.Mutex
 

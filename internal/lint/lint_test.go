@@ -147,3 +147,15 @@ func TestModuleIsClean(t *testing.T) {
 		t.Errorf("unexpected finding: %s", d)
 	}
 }
+
+// A lock spec whose type still exists but whose mutex field was renamed is
+// reported, not skipped: skipping would drop the lock from every check.
+func TestStaleLockSpecReported(t *testing.T) {
+	diags := fixtureRun(t, "lockspec", AnalyzerLockOrder())
+	if len(diags) != 1 {
+		t.Fatalf("want exactly the stale spec finding, got %d: %v", len(diags), diags)
+	}
+	if d := diags[0]; d.Check != "lockorder" || !strings.Contains(d.Pos.Filename, "srv.go") || !strings.Contains(d.Message, "Server.mu") {
+		t.Errorf("unexpected finding: %s", d)
+	}
+}

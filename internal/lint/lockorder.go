@@ -18,7 +18,8 @@ import "go/token"
 // and propagates acquisitions through the static call graph, so a
 // function that calls a helper which takes catMu while the caller holds
 // mu is flagged at the call site. Re-entrant acquisition of the same
-// classified lock is flagged as a deadlock.
+// classified lock is flagged as a deadlock. A hierarchy entry whose type
+// exists but no longer has the named lock field is flagged at the type.
 func AnalyzerLockOrder() *Analyzer {
 	return &Analyzer{
 		Name: "lockorder",
@@ -29,6 +30,10 @@ func AnalyzerLockOrder() *Analyzer {
 
 func runLockOrder(prog *Program, report func(pos token.Pos, format string, args ...interface{})) {
 	s := summarize(prog)
+	for _, st := range s.staleSpecs {
+		report(st.pos, "lock hierarchy classifies %s, but %s has no field %s: update or delete its lockSpecs entry (a renamed lock drops out of every lock check)",
+			st.spec.class.name, st.spec.typ, st.spec.field)
+	}
 	trans := s.transitiveAcquires()
 	for _, fn := range s.funcs {
 		// Direct acquisitions inside this function.

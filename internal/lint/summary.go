@@ -31,7 +31,7 @@ type lockSpec struct {
 
 // lockSpecs is the documented lock hierarchy of the storage manager.
 // The ranks encode: catMu → mu → (wal.Log.mu | volume) with the lock
-// manager, cost clock, and fault plane as leaves; pool latches sit apart
+// manager and fault plane as leaves; pool latches sit apart
 // from the server locks (PR 3: latches are taken with neither mu nor
 // catMu held, and FlushFn under a content latch takes wal/volume, never
 // mu). The replication, MVCC, and shard-router locks are leaves of their
@@ -54,7 +54,6 @@ var lockSpecs = []lockSpec{
 	{"internal/wal", "Log", "mu", lockClass{name: "wal.Log.mu", rank: 30}},
 	{"internal/disk", "volumeCore", "mu", lockClass{name: "disk volume lock", rank: 32}},
 	{"internal/lock", "Manager", "mu", lockClass{name: "lock.Manager.mu", rank: 40}},
-	{"internal/sim", "Clock", "mu", lockClass{name: "sim.Clock.mu", rank: 50}},
 	{"internal/faultinject", "Plane", "mu", lockClass{name: "faultinject.Plane.mu", rank: 52}},
 	{"internal/shard", "Router", "mu", lockClass{name: "shard.Router.mu", rank: 60}},
 	{"internal/shard", "routedTx", "mu", lockClass{name: "shard routedTx.mu", rank: 62}},
@@ -138,12 +137,19 @@ type funcNode struct {
 	makes    map[*types.TypeName]bool // struct types this func constructs or returns
 }
 
+// staleSpec is a lockSpec whose type exists but lacks the named field.
+type staleSpec struct {
+	pos  token.Pos // the type's declaration
+	spec *lockSpec
+}
+
 // summaries is the shared interprocedural state, built once per Program.
 type summaries struct {
-	locks map[types.Object]*lockClass
-	owner map[types.Object]*types.TypeName // field -> declaring struct type
-	funcs []*funcNode
-	byID  map[string]*funcNode
+	locks      map[types.Object]*lockClass
+	staleSpecs []staleSpec
+	owner      map[types.Object]*types.TypeName // field -> declaring struct type
+	funcs      []*funcNode
+	byID       map[string]*funcNode
 }
 
 var summaryCache = map[*Program]*summaries{}
@@ -169,7 +175,9 @@ func summarize(prog *Program) *summaries {
 }
 
 // resolveLocks maps the lockSpecs onto the loaded module's type objects.
-// Specs whose package or type is absent (partial fixtures) are skipped.
+// Specs whose package or type is absent (partial fixtures) are skipped; a
+// spec whose type is present but has no such field is recorded as stale,
+// since a renamed mutex would otherwise silently drop out of every check.
 func (s *summaries) resolveLocks(prog *Program) {
 	for i := range lockSpecs {
 		spec := &lockSpecs[i]
@@ -181,18 +189,17 @@ func (s *summaries) resolveLocks(prog *Program) {
 		if obj == nil {
 			continue
 		}
-		named, ok := obj.Type().(*types.Named)
-		if !ok {
-			continue
-		}
-		st, ok := named.Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for j := 0; j < st.NumFields(); j++ {
-			if f := st.Field(j); f.Name() == spec.field {
-				s.locks[f] = &spec.class
+		found := false
+		if st, ok := obj.Type().Underlying().(*types.Struct); ok {
+			for j := 0; j < st.NumFields(); j++ {
+				if f := st.Field(j); f.Name() == spec.field {
+					s.locks[f] = &spec.class
+					found = true
+				}
 			}
+		}
+		if !found {
+			s.staleSpecs = append(s.staleSpecs, staleSpec{obj.Pos(), spec})
 		}
 	}
 }

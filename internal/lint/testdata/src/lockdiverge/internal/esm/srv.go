@@ -6,6 +6,7 @@ package esm
 import "sync"
 
 type Server struct {
+	catMu sync.Mutex
 	mu    sync.Mutex
 	count int
 }

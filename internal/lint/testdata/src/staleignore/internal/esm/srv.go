@@ -2,11 +2,11 @@
 // analyzer, carrying one directive that suppresses nothing.
 package esm
 
-type Server struct {
+type Counter struct {
 	count int
 }
 
-func (s *Server) Inc() {
+func (s *Counter) Inc() {
 	//qsvet:ignore mustcheck left over from a deleted discard; nothing here to suppress
 	s.count++
 }

@@ -19,7 +19,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 )
 
 // Counter identifies one class of costed (or merely counted) event.
@@ -151,120 +151,69 @@ func DefaultCostModel() CostModel {
 	return m
 }
 
-// Clock is a deterministic simulated clock: events are counted and charged
-// model costs; Elapsed is the sum. Clock is safe for concurrent use.
+// Clock is a deterministic simulated clock: events are counted, and each
+// counter's time is its count times the model cost, folded in when read.
+// Charging is one atomic add, so the clock is safe for concurrent use and
+// costs a dereference no lock.
 type Clock struct {
-	mu     sync.Mutex
 	model  CostModel
-	counts [NumCounters]int64
-	micros [NumCounters]float64
-	extra  float64 // uncategorised microseconds added via AddMicros
+	counts [NumCounters]atomic.Int64
 }
 
 // NewClock returns a clock using the given cost model.
-func NewClock(model CostModel) *Clock {
-	return &Clock{model: model}
-}
+func NewClock(model CostModel) *Clock { return &Clock{model: model} }
 
-// Charge records n events of class c and advances the clock by n times the
+// Charge records n events of class c, advancing the clock by n times the
 // model cost of c.
-func (k *Clock) Charge(c Counter, n int64) {
-	if n == 0 {
-		return
-	}
-	k.mu.Lock()
-	k.counts[c] += n
-	k.micros[c] += float64(n) * k.model[c]
-	k.mu.Unlock()
-}
-
-// AddMicros advances the clock by us microseconds without counting an event.
-func (k *Clock) AddMicros(us float64) {
-	k.mu.Lock()
-	k.extra += us
-	k.mu.Unlock()
-}
+func (k *Clock) Charge(c Counter, n int64) { k.counts[c].Add(n) }
 
 // Count returns the number of events recorded for c.
-func (k *Clock) Count(c Counter) int64 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.counts[c]
-}
+func (k *Clock) Count(c Counter) int64 { return k.counts[c].Load() }
 
 // Micros returns the microseconds charged to counter c so far.
-func (k *Clock) Micros(c Counter) float64 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.micros[c]
-}
+func (k *Clock) Micros(c Counter) float64 { return float64(k.Count(c)) * k.model[c] }
 
 // ElapsedMicros returns the total simulated time in microseconds.
-func (k *Clock) ElapsedMicros() float64 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	t := k.extra
-	for _, us := range k.micros {
-		t += us
-	}
-	return t
-}
+func (k *Clock) ElapsedMicros() float64 { return k.Snapshot().ElapsedMicros() }
 
-// Snapshot captures the clock's current counters and times.
+// Snapshot captures the clock's current counters. Each count is read
+// atomically; a snapshot taken during concurrent charges sees every
+// counter at some value it held during the call.
 func (k *Clock) Snapshot() Snapshot {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	s := Snapshot{extra: k.extra}
-	s.counts = k.counts
-	s.micros = k.micros
+	s := Snapshot{model: k.model}
+	for c := range s.counts {
+		s.counts[c] = k.counts[c].Load()
+	}
 	return s
 }
 
-// Reset zeroes all counters and the clock.
-func (k *Clock) Reset() {
-	k.mu.Lock()
-	k.counts = [NumCounters]int64{}
-	k.micros = [NumCounters]float64{}
-	k.extra = 0
-	k.mu.Unlock()
-}
-
-// Model returns a copy of the clock's cost model.
-func (k *Clock) Model() CostModel {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.model
-}
-
-// Snapshot is an immutable copy of a Clock's state, used to compute
-// per-phase deltas (cold vs hot, per-traversal, per-commit).
+// Snapshot is an immutable copy of a Clock's counts and cost model, used
+// to compute per-phase deltas (cold vs hot, per-traversal, per-commit).
 type Snapshot struct {
+	model  CostModel
 	counts [NumCounters]int64
-	micros [NumCounters]float64
-	extra  float64
 }
 
 // Count returns the snapshot's event count for c.
 func (s Snapshot) Count(c Counter) int64 { return s.counts[c] }
 
 // Micros returns the snapshot's charged microseconds for c.
-func (s Snapshot) Micros(c Counter) float64 { return s.micros[c] }
+func (s Snapshot) Micros(c Counter) float64 { return float64(s.counts[c]) * s.model[c] }
 
 // ElapsedMicros returns the snapshot's total simulated microseconds.
 func (s Snapshot) ElapsedMicros() float64 {
-	t := s.extra
-	for _, us := range s.micros {
-		t += us
+	var t float64
+	for c := range s.counts {
+		t += s.Micros(Counter(c))
 	}
 	return t
 }
 
 // Sub returns the delta s minus earlier, counter by counter.
 func (s Snapshot) Sub(earlier Snapshot) Snapshot {
-	d := Snapshot{extra: s.extra - earlier.extra}
+	d := Snapshot{model: s.model}
 	for i := range s.counts {
 		d.counts[i] = s.counts[i] - earlier.counts[i]
-		d.micros[i] = s.micros[i] - earlier.micros[i]
 	}
 	return d
 }
@@ -280,7 +229,7 @@ func (s Snapshot) String() string {
 	var rows []row
 	for c := Counter(0); c < NumCounters; c++ {
 		if s.counts[c] != 0 {
-			rows = append(rows, row{c, s.counts[c], s.micros[c]})
+			rows = append(rows, row{c, s.counts[c], s.Micros(c)})
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].us > rows[j].us })

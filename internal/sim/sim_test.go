@@ -25,14 +25,6 @@ func TestChargeAndElapsed(t *testing.T) {
 	if got := k.ElapsedMicros(); got != want {
 		t.Fatalf("elapsed = %v, want %v", got, want)
 	}
-	k.AddMicros(5)
-	if got := k.ElapsedMicros(); got != want+5 {
-		t.Fatalf("elapsed after AddMicros = %v", got)
-	}
-	k.Reset()
-	if k.ElapsedMicros() != 0 || k.Count(CtrServerDiskRead) != 0 {
-		t.Fatal("Reset incomplete")
-	}
 }
 
 func TestChargeZeroIsNoop(t *testing.T) {
@@ -115,22 +107,79 @@ func TestDefaultModelCalibration(t *testing.T) {
 	}
 }
 
+// Concurrent charges stay exact, and a reader's snapshots never run
+// backwards: the clock is shared by a server, its clients and the
+// prefetch workers.
 func TestClockConcurrency(t *testing.T) {
-	k := NewClock(DefaultCostModel())
+	m := DefaultCostModel()
+	k := NewClock(m)
+	ctrs := []Counter{CtrClientRead, CtrServerDiskRead, CtrDeref, CtrDiffByte, CtrLogByte}
+	const workers, iters = 8, 2000
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for prev := k.Snapshot(); ; {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			cur := k.Snapshot()
+			for c := Counter(0); c < NumCounters; c++ {
+				if d := cur.Sub(prev).Count(c); d < 0 {
+					t.Errorf("snapshot delta of %v = %d", c, d)
+				}
+			}
+			prev = cur
+		}
+	}()
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	want := map[Counter]int64{}
+	for w := 0; w < workers; w++ {
+		c := ctrs[w%len(ctrs)]
+		want[c] += iters / 2 * (1 + 8192)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				k.Charge(CtrClientRead, 1)
+			for j := 0; j < iters; j++ {
+				k.Charge(c, []int64{1, 8192}[j%2])
 			}
 		}()
 	}
 	wg.Wait()
-	if got := k.Count(CtrClientRead); got != 8000 {
-		t.Fatalf("concurrent count = %d", got)
+	close(stop)
+	<-done
+	for c := Counter(0); c < NumCounters; c++ {
+		if got := k.Count(c); got != want[c] {
+			t.Errorf("count of %v = %d, want %d", c, got, want[c])
+		}
+		if got := k.Micros(c); got != float64(k.Count(c))*m[c] {
+			t.Errorf("micros of %v = %v, want count x cost", c, got)
+		}
 	}
+}
+
+func TestChargeAllocatesNothing(t *testing.T) {
+	k := NewClock(DefaultCostModel())
+	if n := testing.AllocsPerRun(1000, func() { k.Charge(CtrDeref, 1) }); n != 0 {
+		t.Fatalf("Charge allocates %v per call", n)
+	}
+}
+
+func BenchmarkClockCharge(b *testing.B) {
+	k := NewClock(DefaultCostModel())
+	b.Run("serial", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			k.Charge(CtrDeref, 1)
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				k.Charge(CtrDeref, 1)
+			}
+		})
+	})
 }
 
 // Property: Snapshot.Sub is exact for any sequence of charges.

@@ -233,9 +233,28 @@ func (s *Space) ProtectAll(prot Prot) {
 	}
 }
 
-// resolve returns the backing bytes for an n-byte access at a, dispatching
-// the fault handler when protection forbids it.
+// resolve returns the backing bytes for an n-byte access at a. Its hit
+// path — an in-range access within one mapped, permitted frame — makes no
+// call: it counts the access and returns the slice. Every other case,
+// errors and faults, goes to resolveSlow. The fixed-size accessors below
+// are shaped to fit the compiler's inlining budget, so a warm load or
+// store costs the caller one call, into resolve.
 func (s *Space) resolve(a Addr, n int, acc Access) ([]byte, error) {
+	if off := a.Offset(); a >= s.base && off+n <= FrameSize {
+		if i := uint64(a-s.base) >> FrameShift; i < uint64(len(s.frames)) {
+			if f := &s.frames[i]; f.data != nil && f.prot.allows(acc) {
+				s.accesses++
+				return f.data[off : off+n], nil
+			}
+		}
+	}
+	return s.resolveSlow(a, n, acc)
+}
+
+// resolveSlow is resolve's checked path: it reports out-of-range and
+// frame-crossing accesses and dispatches the fault handler when protection
+// forbids the access.
+func (s *Space) resolveSlow(a Addr, n int, acc Access) ([]byte, error) {
 	off := a.Offset()
 	if off+n > FrameSize {
 		return nil, fmt.Errorf("%w: %#x+%d", ErrCrossesFrame, a, n)
@@ -270,39 +289,39 @@ func (s *Space) resolve(a Addr, n int, acc Access) ([]byte, error) {
 }
 
 // ReadU8 loads one byte.
-func (s *Space) ReadU8(a Addr) (byte, error) {
+func (s *Space) ReadU8(a Addr) (v byte, err error) {
 	b, err := s.resolve(a, 1, AccessRead)
-	if err != nil {
-		return 0, err
+	if err == nil {
+		v = b[0]
 	}
-	return b[0], nil
+	return v, err
 }
 
 // ReadU16 loads a little-endian uint16.
-func (s *Space) ReadU16(a Addr) (uint16, error) {
+func (s *Space) ReadU16(a Addr) (v uint16, err error) {
 	b, err := s.resolve(a, 2, AccessRead)
-	if err != nil {
-		return 0, err
+	if err == nil {
+		v = binary.LittleEndian.Uint16(b)
 	}
-	return binary.LittleEndian.Uint16(b), nil
+	return v, err
 }
 
 // ReadU32 loads a little-endian uint32.
-func (s *Space) ReadU32(a Addr) (uint32, error) {
+func (s *Space) ReadU32(a Addr) (v uint32, err error) {
 	b, err := s.resolve(a, 4, AccessRead)
-	if err != nil {
-		return 0, err
+	if err == nil {
+		v = binary.LittleEndian.Uint32(b)
 	}
-	return binary.LittleEndian.Uint32(b), nil
+	return v, err
 }
 
 // ReadU64 loads a little-endian uint64 (the pointer load of Figure 4).
-func (s *Space) ReadU64(a Addr) (uint64, error) {
+func (s *Space) ReadU64(a Addr) (v uint64, err error) {
 	b, err := s.resolve(a, 8, AccessRead)
-	if err != nil {
-		return 0, err
+	if err == nil {
+		v = binary.LittleEndian.Uint64(b)
 	}
-	return binary.LittleEndian.Uint64(b), nil
+	return v, err
 }
 
 // ReadInto copies len(buf) bytes from a.
@@ -318,41 +337,37 @@ func (s *Space) ReadInto(a Addr, buf []byte) error {
 // WriteU8 stores one byte.
 func (s *Space) WriteU8(a Addr, v byte) error {
 	b, err := s.resolve(a, 1, AccessWrite)
-	if err != nil {
-		return err
+	if err == nil {
+		b[0] = v
 	}
-	b[0] = v
-	return nil
+	return err
 }
 
 // WriteU16 stores a little-endian uint16.
 func (s *Space) WriteU16(a Addr, v uint16) error {
 	b, err := s.resolve(a, 2, AccessWrite)
-	if err != nil {
-		return err
+	if err == nil {
+		binary.LittleEndian.PutUint16(b, v)
 	}
-	binary.LittleEndian.PutUint16(b, v)
-	return nil
+	return err
 }
 
 // WriteU32 stores a little-endian uint32.
 func (s *Space) WriteU32(a Addr, v uint32) error {
 	b, err := s.resolve(a, 4, AccessWrite)
-	if err != nil {
-		return err
+	if err == nil {
+		binary.LittleEndian.PutUint32(b, v)
 	}
-	binary.LittleEndian.PutUint32(b, v)
-	return nil
+	return err
 }
 
 // WriteU64 stores a little-endian uint64 (a pointer store).
 func (s *Space) WriteU64(a Addr, v uint64) error {
 	b, err := s.resolve(a, 8, AccessWrite)
-	if err != nil {
-		return err
+	if err == nil {
+		binary.LittleEndian.PutUint64(b, v)
 	}
-	binary.LittleEndian.PutUint64(b, v)
-	return nil
+	return err
 }
 
 // WriteBytes copies data to a.

@@ -273,3 +273,97 @@ func TestReadYourWritesProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Every check of the checked path still applies now that resolve serves
+// hits itself: each case runs on a space whose frame 0 is mapped
+// read-only, frame 1 is unmapped, and a fault handler (when set) counts
+// its dispatches.
+func TestHitPathKeepsEveryCheck(t *testing.T) {
+	upgrade := func(s *Space) FaultHandler {
+		return func(a Addr, _ Access) error { return s.Protect(a.FrameBase(), ProtWrite) }
+	}
+	cases := []struct {
+		name       string
+		handler    func(s *Space) FaultHandler // nil: no handler installed
+		access     func(s *Space) error
+		want       error // nil: the access succeeds
+		dispatches int
+	}{
+		{"below base", nil, func(s *Space) error { _, err := s.ReadU64(testBase - 8); return err }, ErrOutOfRange, 0},
+		{"beyond last frame", nil, func(s *Space) error { _, err := s.ReadU8(testBase + 64*FrameSize); return err }, ErrOutOfRange, 0},
+		{"crosses frame", nil, func(s *Space) error { _, err := s.ReadU64(testBase + FrameSize - 4); return err }, ErrCrossesFrame, 0},
+		{"unmapped, no handler", nil, func(s *Space) error { _, err := s.ReadU8(testBase + FrameSize); return err }, ErrNoHandler, 0},
+		{"write to read-only, no handler", nil, func(s *Space) error { return s.WriteU64(testBase, 1) }, ErrNoHandler, 0},
+		{"handler leaves fault", func(*Space) FaultHandler { return func(Addr, Access) error { return nil } },
+			func(s *Space) error { return s.WriteU32(testBase, 1) }, ErrStillFaulted, 1},
+		{"access inside handler", func(s *Space) FaultHandler {
+			return func(Addr, Access) error { _, err := s.ReadU8(testBase + FrameSize); return err }
+		}, func(s *Space) error { return s.WriteU8(testBase, 1) }, ErrRecursive, 1},
+		{"write to read-only dispatches once", upgrade, func(s *Space) error {
+			for i := 0; i < 3; i++ {
+				if err := s.WriteU64(testBase+8, 7); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, nil, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSpace()
+			s.Map(testBase, make([]byte, FrameSize), ProtRead)
+			calls := 0
+			if tc.handler != nil {
+				h := tc.handler(s)
+				s.SetHandler(func(a Addr, acc Access) error { calls++; return h(a, acc) })
+			}
+			if err := tc.access(s); !errors.Is(err, tc.want) || (tc.want == nil) != (err == nil) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			if calls != tc.dispatches || s.Faults() != int64(tc.dispatches) {
+				t.Fatalf("handler ran %d times, Faults() = %d, want %d", calls, s.Faults(), tc.dispatches)
+			}
+		})
+	}
+}
+
+// A fixed mix of hits, faults and rejected accesses yields the same
+// Accesses()/Faults() counts as the single checked path did: accesses
+// count every in-range, in-frame load or store, faulting or not.
+func TestAccessAndFaultCounts(t *testing.T) {
+	s := newSpace()
+	s.SetHandler(func(a Addr, acc Access) error {
+		prot := ProtRead
+		if acc == AccessWrite {
+			prot = ProtWrite
+		}
+		return s.Map(a.FrameBase(), make([]byte, FrameSize), prot)
+	})
+	for i := Addr(0); i < 4; i++ {
+		s.ReadU64(testBase + i*FrameSize)                 // unmapped: fault, then served
+		s.ReadU32(testBase + i*FrameSize + 8)             // hit
+		s.WriteU16(testBase+i*FrameSize+2, 9)             // read-only: fault, then write-mapped
+		s.WriteU8(testBase+i*FrameSize, 1)                // hit
+		s.ReadU64(testBase + i*FrameSize + FrameSize - 4) // crosses: not counted
+	}
+	s.ReadU8(testBase - 1) // out of range: not counted
+	if s.Accesses() != 16 || s.Faults() != 8 {
+		t.Fatalf("Accesses() = %d, Faults() = %d, want 16 and 8", s.Accesses(), s.Faults())
+	}
+}
+
+// A warm load and its cost charge allocate nothing.
+func TestWarmLoadAllocatesNothing(t *testing.T) {
+	clock := sim.NewClock(sim.DefaultCostModel())
+	s := NewSpace(testBase, 4, clock)
+	s.Map(testBase, make([]byte, FrameSize), ProtRead)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := s.ReadU64(testBase + 64); err != nil {
+			t.Fatal(err)
+		}
+		clock.Charge(sim.CtrDeref, 1)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm ReadU64 + Charge allocates %v per call", allocs)
+	}
+}
