@@ -141,3 +141,131 @@ func TestMetadataDominatedPoolUsesClassicClock(t *testing.T) {
 		t.Fatalf("no metadata victims (calls=%d data=%d)", calls, dataVictims)
 	}
 }
+
+// TestMappedFramesTrackResidentPages checks the virtual-memory mappings
+// against the store's own view, with the default (8 GB) address space and
+// a 32-page client pool: after a traversal that evicts and reprotects the
+// whole space, after a coherence refresh, and after an abort, a page's
+// frame is mapped exactly when its descriptor names a buffer frame that
+// still holds the page, and no other frame is mapped. That covers Unmap
+// through the eviction hook, the refresh hook and Abort.
+func TestMappedFramesTrackResidentPages(t *testing.T) {
+	const nodes = 200
+	e := newEnv(t)
+	buildList(t, e.session(128, Config{BulkLoad: true}, true), nodes, true)
+	e.cold()
+
+	s := e.session(32, Config{}, false)
+	if s.Space().MaxFrames() != DefaultMaxFrames {
+		t.Fatalf("MaxFrames = %d, want the default %d", s.Space().MaxFrames(), DefaultMaxFrames)
+	}
+	pool := s.Client().Pool()
+	// check verifies the mappings and returns the number of pages that are
+	// resident but unmapped (refreshed or not yet faulted).
+	check := func(when string) (residentUnmapped int) {
+		t.Helper()
+		mapped := 0
+		s.tree.Walk(func(d *PageDesc) bool {
+			data, err := s.Space().Mapped(d.Lo)
+			if err != nil {
+				t.Fatalf("%s: Mapped(%#x): %v", when, d.Lo, err)
+			}
+			idx, inPool := pool.Lookup(d.Pid)
+			resident := d.FrameIdx >= 0 && inPool && idx == d.FrameIdx
+			if (data != nil) != resident {
+				t.Fatalf("%s: page %d at %#x: mapped %v, FrameIdx %d, in pool %v", when, d.Pid, d.Lo, data != nil, d.FrameIdx, inPool)
+			}
+			if data != nil {
+				mapped++
+				if &data[0] != &pool.Frame(idx).Data[0] {
+					t.Fatalf("%s: page %d mapped to a buffer frame other than its own", when, d.Pid)
+				}
+			} else if inPool && d.Accessed {
+				residentUnmapped++
+			}
+			return true
+		})
+		if got := s.Space().MappedFrames(); got != mapped || got > pool.Len() {
+			t.Fatalf("%s: %d frames mapped, %d descriptors mapped, pool of %d", when, got, mapped, pool.Len())
+		}
+		return residentUnmapped
+	}
+	walk := func(when string, bump uint32) {
+		t.Helper()
+		for i, v := range walkList(t, s) {
+			want := uint32(i)
+			if i >= nodes-10 {
+				want += bump
+			}
+			if v != want {
+				t.Fatalf("%s: node %d = %d, want %d", when, i, v, want)
+			}
+		}
+	}
+
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	walk("first traversal", 0)
+	walk("second traversal", 0)
+	if _, protAlls, _, _ := s.policyOf().DebugStats(); protAlls == 0 {
+		t.Fatal("the traversal never reprotected the space; shrink the pool")
+	}
+	check("after traversal")
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	check("after commit")
+
+	// Another session updates the last ten nodes, which s still holds; s's
+	// next Begin repairs those frames in place and must unmap them.
+	o := e.session(64, Config{}, false)
+	if err := o.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := o.Root("list")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < nodes; i++ {
+		if i >= nodes-10 {
+			if err := o.Space().WriteU32(ref+8, uint32(i)+1000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next, err := o.Space().ReadU64(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref = Ref(next)
+	}
+	if err := o.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if check("after refresh") == 0 {
+		t.Fatal("no resident page was refreshed and unmapped")
+	}
+	walk("traversal after refresh", 1000)
+	check("after refreshed traversal")
+
+	// Pages created by a transaction that aborts lose their mappings.
+	cl := s.NewCluster()
+	for i := 0; i < 5; i++ {
+		cl.Break()
+		r, err := s.Alloc(cl, 16, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Space().WriteU32(r+8, 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("before abort")
+	if err := s.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	check("after abort")
+}

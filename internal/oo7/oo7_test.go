@@ -376,3 +376,25 @@ func TestLayoutShapes(t *testing.T) {
 		t.Errorf("atomic part: QS %d vs E %d", qs[TAtomicPart].Size, e[TAtomicPart].Size)
 	}
 }
+
+// T1's graph searches share one part-id set, so a warm traversal's
+// allocations do not grow with the composite parts it searches. The parts
+// per composite part are the small database's 20, enough that a set per
+// search would reach the heap (a map of 8 or fewer can live on the stack).
+func TestWarmT1AllocationsDoNotScaleWithParts(t *testing.T) {
+	p := Tiny()
+	p.NumAtomicPerComp = Small().NumAtomicPerComp
+	db := buildSystem(t, "QS", p).open(512)
+	if _, err := T1(db); err != nil {
+		t.Fatal(err)
+	}
+	searches := p.NumBaseAssemblies() * p.NumCompPerAssm
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := T1(db); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= float64(searches) {
+		t.Fatalf("warm T1 allocates %v times for %d graph searches", allocs, searches)
+	}
+}

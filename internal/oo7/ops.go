@@ -43,38 +43,41 @@ func run(db DB, op func() (int, error)) (int, error) {
 
 // traverseGraph depth-first-searches a composite part's atomic-part graph
 // from its root part, calling visit for each part seen for the first time
-// in this search. It returns the number of parts visited. A transient
-// "iterator" is charged per node and a part-id set operation per check,
-// mirroring the transient-structure costs of Table 7.
-func traverseGraph(db DB, comp Ref, visit func(part Ref)) int {
+// in this search. It returns the number of parts visited. visited is the
+// operation's part-id set; it is cleared here, so one set (and its
+// storage) serves every composite part. A transient "iterator" is charged
+// per node and a part-id set operation per check, mirroring the
+// transient-structure costs of Table 7.
+func traverseGraph(db DB, comp Ref, visited map[int32]bool, visit func(part Ref)) int {
 	root := db.GetRef(comp, TCompositePart, CompRootPart)
-	visited := make(map[int32]bool)
-	var dfs func(part Ref) int
-	dfs = func(part Ref) int {
-		chargePartSet(db)
-		id := db.GetI32(part, TAtomicPart, APartID)
-		if visited[id] {
-			return 0
-		}
-		visited[id] = true
-		if visit != nil {
-			visit(part)
-		}
-		chargeIter(db)
-		count := 1
-		for _, f := range [3]int{APartConn0, APartConn1, APartConn2} {
-			conn := db.GetRef(part, TAtomicPart, f)
-			if conn == NilRef {
-				continue
-			}
-			count += dfs(db.GetRef(conn, TConnection, ConnTo))
-		}
-		return count
-	}
+	clear(visited)
 	if root == NilRef {
 		return 0
 	}
-	return dfs(root)
+	return visitParts(db, root, visited, visit)
+}
+
+// visitParts is traverseGraph's depth-first step from one part.
+func visitParts(db DB, part Ref, visited map[int32]bool, visit func(part Ref)) int {
+	chargePartSet(db)
+	id := db.GetI32(part, TAtomicPart, APartID)
+	if visited[id] {
+		return 0
+	}
+	visited[id] = true
+	if visit != nil {
+		visit(part)
+	}
+	chargeIter(db)
+	count := 1
+	for _, f := range [3]int{APartConn0, APartConn1, APartConn2} {
+		conn := db.GetRef(part, TAtomicPart, f)
+		if conn == NilRef {
+			continue
+		}
+		count += visitParts(db, db.GetRef(conn, TConnection, ConnTo), visited, visit)
+	}
+	return count
 }
 
 // forEachBaseAssembly walks the assembly hierarchy depth-first from the
@@ -115,13 +118,14 @@ func forEachBaseAssembly(db DB, fn func(base Ref)) error {
 func T1(db DB) (int, error) {
 	return run(db, func() (int, error) {
 		total := 0
+		visited := map[int32]bool{}
 		err := forEachBaseAssembly(db, func(base Ref) {
 			for _, f := range [3]int{BAsmComp0, BAsmComp1, BAsmComp2} {
 				comp := db.GetRef(base, TBaseAssembly, f)
 				if comp == NilRef {
 					continue
 				}
-				total += traverseGraph(db, comp, nil)
+				total += traverseGraph(db, comp, visited, nil)
 			}
 		})
 		return total, err
@@ -163,6 +167,7 @@ func T2(db DB, kind UpdateKind) (int, error) {
 			db.SetI32(part, TAtomicPart, APartY, db.GetI32(part, TAtomicPart, APartY)+1)
 			updates++
 		}
+		visited := map[int32]bool{}
 		err := forEachBaseAssembly(db, func(base Ref) {
 			for _, f := range [3]int{BAsmComp0, BAsmComp1, BAsmComp2} {
 				comp := db.GetRef(base, TBaseAssembly, f)
@@ -171,13 +176,13 @@ func T2(db DB, kind UpdateKind) (int, error) {
 				}
 				switch kind {
 				case VariantA:
-					traverseGraph(db, comp, nil)
+					traverseGraph(db, comp, visited, nil)
 					root := db.GetRef(comp, TCompositePart, CompRootPart)
 					bump(root)
 				case VariantB:
-					traverseGraph(db, comp, bump)
+					traverseGraph(db, comp, visited, bump)
 				case VariantC:
-					traverseGraph(db, comp, func(p Ref) {
+					traverseGraph(db, comp, visited, func(p Ref) {
 						for i := 0; i < 4; i++ {
 							bump(p)
 						}
@@ -202,6 +207,7 @@ func T3(db DB, kind UpdateKind) (int, error) {
 			idx.InsertInt(int64(old+1), part)
 			updates++
 		}
+		visited := map[int32]bool{}
 		err := forEachBaseAssembly(db, func(base Ref) {
 			for _, f := range [3]int{BAsmComp0, BAsmComp1, BAsmComp2} {
 				comp := db.GetRef(base, TBaseAssembly, f)
@@ -210,12 +216,12 @@ func T3(db DB, kind UpdateKind) (int, error) {
 				}
 				switch kind {
 				case VariantA:
-					traverseGraph(db, comp, nil)
+					traverseGraph(db, comp, visited, nil)
 					bump(db.GetRef(comp, TCompositePart, CompRootPart))
 				case VariantB:
-					traverseGraph(db, comp, bump)
+					traverseGraph(db, comp, visited, bump)
 				case VariantC:
-					traverseGraph(db, comp, func(p Ref) {
+					traverseGraph(db, comp, visited, func(p Ref) {
 						for i := 0; i < 4; i++ {
 							bump(p)
 						}

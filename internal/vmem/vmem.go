@@ -12,14 +12,21 @@
 // the MMU would trap — and the access is retried once.
 //
 // The Space never allocates backing memory of its own: like the paper's
-// mmap file trick (Section 3.2), mapping a huge address range costs only
-// bookkeeping.
+// mmap file trick (Section 3.2), reserving a huge address range costs only
+// bookkeeping, and that bookkeeping tracks what is mapped, not what is
+// reserved. The frame table grows on demand (doubling, up to the reserved
+// size) as frames are first mapped or protected, so a fresh space allocates
+// nothing; a frame beyond the grown table is reserved but unmapped and
+// faults like any other. The space also keeps a dense list of its mapped
+// frames, so ProtectAll — the simplified clock's one-call reprotection of
+// the whole space (Section 3.5) — costs O(mapped frames).
 package vmem
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"quickstore/internal/sim"
 )
@@ -106,37 +113,47 @@ var (
 
 type frame struct {
 	prot Prot
+	pos  int32  // index in Space.mapped while data != nil (fits the padding)
 	data []byte // nil when the frame is reserved but unmapped
 }
 
 // Space is one process's simulated persistent address region.
 type Space struct {
-	base     Addr
-	frames   []frame
-	handler  FaultHandler
-	clock    *sim.Clock
-	inFault  bool
-	faults   int64
-	accesses int64
+	base      Addr
+	maxFrames int
+	frames    []frame // grown on demand; frames beyond it are unmapped
+	mapped    []int32 // indices of the frames whose data is non-nil
+	handler   FaultHandler
+	clock     *sim.Clock
+	inFault   bool
+	faults    int64
+	accesses  int64
 }
 
 // NewSpace creates a space covering maxFrames frames starting at base
-// (base must be frame-aligned).
+// (base must be frame-aligned). It reserves the range without allocating
+// a frame table; see the package doc.
 func NewSpace(base Addr, maxFrames int, clock *sim.Clock) *Space {
 	if base&offMask != 0 {
 		panic("vmem: unaligned base")
 	}
+	if maxFrames < 0 || maxFrames > math.MaxInt32 {
+		panic("vmem: frame count out of range")
+	}
 	if clock == nil {
 		clock = sim.NewClock(sim.CostModel{})
 	}
-	return &Space{base: base, frames: make([]frame, maxFrames), clock: clock}
+	return &Space{base: base, maxFrames: maxFrames, clock: clock}
 }
 
 // Base returns the first address of the space.
 func (s *Space) Base() Addr { return s.base }
 
 // MaxFrames returns the number of frames the space covers.
-func (s *Space) MaxFrames() int { return len(s.frames) }
+func (s *Space) MaxFrames() int { return s.maxFrames }
+
+// MappedFrames returns the number of frames currently mapped.
+func (s *Space) MappedFrames() int { return len(s.mapped) }
 
 // SetHandler installs the page-fault handler.
 func (s *Space) SetHandler(h FaultHandler) { s.handler = h }
@@ -151,12 +168,36 @@ func (s *Space) frameIndex(a Addr) (int, error) {
 	if a < s.base {
 		return 0, fmt.Errorf("%w: %#x < base %#x", ErrOutOfRange, a, s.base)
 	}
-	i := int((a - s.base) >> FrameShift)
-	if i >= len(s.frames) {
-		return 0, fmt.Errorf("%w: %#x beyond %d frames", ErrOutOfRange, a, len(s.frames))
+	i := (a - s.base) >> FrameShift
+	if i >= Addr(s.maxFrames) {
+		return 0, fmt.Errorf("%w: %#x beyond %d frames", ErrOutOfRange, a, s.maxFrames)
 	}
-	return i, nil
+	return int(i), nil
 }
+
+// at returns frame i, which must be in range; a frame beyond the grown
+// table is unmapped with no protection.
+func (s *Space) at(i int) frame {
+	if i < len(s.frames) {
+		return s.frames[i]
+	}
+	return frame{}
+}
+
+// grow extends the frame table to cover frame i (which must be in range),
+// at least doubling it and never past maxFrames.
+func (s *Space) grow(i int) {
+	if i < len(s.frames) {
+		return
+	}
+	n := max(2*len(s.frames), minFrames, i+1)
+	t := make([]frame, min(n, s.maxFrames))
+	copy(t, s.frames)
+	s.frames = t
+}
+
+// minFrames is the frame table's first size.
+const minFrames = 64
 
 // Contains reports whether a falls inside the space.
 func (s *Space) Contains(a Addr) bool {
@@ -179,17 +220,31 @@ func (s *Space) Map(frameAddr Addr, data []byte, prot Prot) error {
 	if err != nil {
 		return err
 	}
-	s.frames[i] = frame{prot: prot, data: data}
+	s.grow(i)
+	f := &s.frames[i]
+	if f.data == nil {
+		f.pos = int32(len(s.mapped))
+		s.mapped = append(s.mapped, int32(i))
+	}
+	f.prot, f.data = prot, data
 	return nil
 }
 
 // Unmap removes the frame's backing store and protection.
 func (s *Space) Unmap(frameAddr Addr) error {
 	i, err := s.frameIndex(frameAddr)
-	if err != nil {
+	if err != nil || i >= len(s.frames) {
 		return err
 	}
-	s.frames[i] = frame{}
+	f := &s.frames[i]
+	if f.data != nil {
+		// Swap-remove i from the mapped list.
+		last := s.mapped[len(s.mapped)-1]
+		s.mapped[f.pos] = last
+		s.frames[last].pos = f.pos
+		s.mapped = s.mapped[:len(s.mapped)-1]
+	}
+	*f = frame{}
 	return nil
 }
 
@@ -199,6 +254,7 @@ func (s *Space) Protect(frameAddr Addr, prot Prot) error {
 	if err != nil {
 		return err
 	}
+	s.grow(i)
 	s.frames[i].prot = prot
 	return nil
 }
@@ -209,7 +265,7 @@ func (s *Space) ProtOf(frameAddr Addr) (Prot, error) {
 	if err != nil {
 		return ProtNone, err
 	}
-	return s.frames[i].prot, nil
+	return s.at(i).prot, nil
 }
 
 // Mapped returns the frame's backing slice (nil when unmapped), regardless
@@ -219,17 +275,16 @@ func (s *Space) Mapped(frameAddr Addr) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.frames[i].data, nil
+	return s.at(i).data, nil
 }
 
 // ProtectAll sets every mapped frame's protection to prot in one operation —
 // the single mmap call QuickStore's simplified clock uses to reprotect the
 // whole persistent address space when a sweep finds no victim (Section 3.5).
+// It visits only the mapped frames.
 func (s *Space) ProtectAll(prot Prot) {
-	for i := range s.frames {
-		if s.frames[i].data != nil {
-			s.frames[i].prot = prot
-		}
+	for _, i := range s.mapped {
+		s.frames[i].prot = prot
 	}
 }
 
@@ -264,7 +319,7 @@ func (s *Space) resolveSlow(a Addr, n int, acc Access) ([]byte, error) {
 		return nil, err
 	}
 	s.accesses++
-	f := &s.frames[i]
+	f := s.at(i)
 	if !f.prot.allows(acc) || f.data == nil {
 		if s.handler == nil {
 			return nil, fmt.Errorf("%w: %v at %#x", ErrNoHandler, acc, a)
@@ -280,7 +335,7 @@ func (s *Space) resolveSlow(a Addr, n int, acc Access) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		f = &s.frames[i]
+		f = s.at(i)
 		if !f.prot.allows(acc) || f.data == nil {
 			return nil, fmt.Errorf("%w: %v at %#x (prot %v)", ErrStillFaulted, acc, a, f.prot)
 		}

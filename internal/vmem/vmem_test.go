@@ -2,8 +2,12 @@ package vmem
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"quickstore/internal/sim"
 )
@@ -365,5 +369,294 @@ func TestWarmLoadAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm ReadU64 + Charge allocates %v per call", allocs)
+	}
+}
+
+// refSpace is the reference model for TestSpaceMatchesFlatModel: the
+// eager flat-array space, one entry per reserved frame.
+type refSpace struct {
+	prot             []Prot
+	data             [][]byte
+	mapped           int // frames with non-nil data
+	faults, accesses int64
+}
+
+// set maps (or, with nil data, unmaps) frame i.
+func (m *refSpace) set(i int, data []byte, prot Prot) {
+	switch {
+	case m.data[i] == nil && data != nil:
+		m.mapped++
+	case m.data[i] != nil && data == nil:
+		m.mapped--
+	}
+	m.data[i], m.prot[i] = data, prot
+}
+
+// refOutcome is what the model predicts for one access.
+type refOutcome struct {
+	err error // nil, ErrOutOfRange, ErrNoHandler, ErrStillFaulted or errHandler
+	val byte
+}
+
+var errHandler = errors.New("handler failed")
+
+// Handler behaviours the model test installs.
+const (
+	noHandler = iota
+	fixHandler
+	noopHandler
+	failHandler
+	numHandlers
+)
+
+// access predicts an n=1 access to frame i at offset off. A fix handler
+// maps fix (with the access's protection); the caller makes the real
+// handler do the same.
+func (m *refSpace) access(i, off int, acc Access, v byte, handler int, fix []byte) refOutcome {
+	if i < 0 || i >= len(m.prot) {
+		return refOutcome{err: ErrOutOfRange}
+	}
+	m.accesses++
+	if m.data[i] == nil || !m.prot[i].allows(acc) {
+		if handler == noHandler {
+			return refOutcome{err: ErrNoHandler}
+		}
+		m.faults++
+		switch handler {
+		case failHandler:
+			return refOutcome{err: errHandler}
+		case fixHandler:
+			prot := ProtRead
+			if acc == AccessWrite {
+				prot = ProtWrite
+			}
+			m.set(i, fix, prot)
+		}
+		if m.data[i] == nil || !m.prot[i].allows(acc) {
+			return refOutcome{err: ErrStillFaulted}
+		}
+	}
+	if acc == AccessWrite {
+		m.data[i][off] = v
+		return refOutcome{}
+	}
+	return refOutcome{val: m.data[i][off]}
+}
+
+// errClass maps an error to the sentinel the model predicts.
+func errClass(err error) error {
+	for _, c := range []error{ErrOutOfRange, ErrNoHandler, ErrStillFaulted, ErrCrossesFrame, ErrRecursive, errHandler} {
+		if errors.Is(err, c) {
+			return c
+		}
+	}
+	return err
+}
+
+// sameBacking reports whether two backing slices are the same frame.
+func sameBacking(a, b []byte) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return &a[0] == &b[0]
+}
+
+// checkMappedList verifies the dense mapped-frame list against the table.
+func checkMappedList(t *testing.T, s *Space, m *refSpace) {
+	t.Helper()
+	if len(s.mapped) != m.mapped || s.MappedFrames() != m.mapped {
+		t.Fatalf("mapped list holds %d frames, model %d", len(s.mapped), m.mapped)
+	}
+	if len(s.frames) > s.maxFrames {
+		t.Fatalf("frame table %d entries, space reserves %d", len(s.frames), s.maxFrames)
+	}
+	for k, i := range s.mapped {
+		if f := s.frames[i]; f.data == nil || int(f.pos) != k {
+			t.Fatalf("mapped[%d] = frame %d with pos %d, data nil %v", k, i, f.pos, f.data == nil)
+		}
+	}
+}
+
+// TestSpaceMatchesFlatModel runs seeded random sequences of every Space
+// operation against the eager flat-array model and requires each step to
+// agree on protection, backing, error class and the fault and access
+// counts. Frame indices cluster at 0, small values, far values, the last
+// frame and one past it, so swap-removes and the not-yet-grown part of the
+// table are both exercised.
+func TestSpaceMatchesFlatModel(t *testing.T) {
+	const maxFrames = 1 << 14
+	for seed := int64(1); seed <= 16; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewSpace(testBase, maxFrames, nil)
+		m := &refSpace{prot: make([]Prot, maxFrames), data: make([][]byte, maxFrames)}
+		far := []int{maxFrames / 3, maxFrames/2 + 17, maxFrames - 100}
+		pick := func() int {
+			switch r := rng.Intn(10); {
+			case r < 3:
+				return rng.Intn(8)
+			case r < 5:
+				return far[rng.Intn(len(far))] + rng.Intn(4)
+			case r < 6:
+				return maxFrames - 1
+			case r < 7:
+				return maxFrames
+			case r < 8:
+				return -1 // below base
+			default:
+				return rng.Intn(maxFrames)
+			}
+		}
+		addr := func(i int) Addr { return testBase + Addr(int64(i)*FrameSize) }
+		inRange := func(i int) bool { return i >= 0 && i < maxFrames }
+		// rangeOK: err is nil in range and ErrOutOfRange outside it.
+		rangeOK := func(err error, i int) bool {
+			if inRange(i) {
+				return err == nil
+			}
+			return errClass(err) == ErrOutOfRange
+		}
+		for step := 0; step < 3000; step++ {
+			i := pick()
+			where := func(op string) string { return fmt.Sprintf("seed %d step %d: %s frame %d", seed, step, op, i) }
+			switch op := rng.Intn(8); op {
+			case 0: // Map or remap
+				buf := make([]byte, FrameSize)
+				prot := Prot(rng.Intn(3))
+				err := s.Map(addr(i), buf, prot)
+				if inRange(i) {
+					m.set(i, buf, prot)
+				}
+				if !rangeOK(err, i) {
+					t.Fatalf("%s: err %v", where("Map"), err)
+				}
+			case 1: // Unmap, mapped or not
+				err := s.Unmap(addr(i))
+				if inRange(i) {
+					m.set(i, nil, ProtNone)
+				}
+				if !rangeOK(err, i) {
+					t.Fatalf("%s: err %v", where("Unmap"), err)
+				}
+			case 2:
+				prot := Prot(rng.Intn(3))
+				err := s.Protect(addr(i), prot)
+				if inRange(i) {
+					m.prot[i] = prot
+				}
+				if !rangeOK(err, i) {
+					t.Fatalf("%s: err %v", where("Protect"), err)
+				}
+			case 3:
+				if rng.Intn(4) == 0 {
+					prot := Prot(rng.Intn(3))
+					s.ProtectAll(prot)
+					for j := range m.prot {
+						if m.data[j] != nil {
+							m.prot[j] = prot
+						}
+					}
+				}
+			case 4, 5: // ReadU8 / WriteU8 under a random handler
+				acc := Access(op - 4)
+				off, v := rng.Intn(FrameSize), byte(rng.Intn(256))
+				handler := rng.Intn(numHandlers)
+				fix := make([]byte, FrameSize)
+				switch handler {
+				case noHandler:
+					s.SetHandler(nil)
+				case fixHandler:
+					s.SetHandler(func(a Addr, acc Access) error {
+						prot := ProtRead
+						if acc == AccessWrite {
+							prot = ProtWrite
+						}
+						return s.Map(a.FrameBase(), fix, prot)
+					})
+				case noopHandler:
+					s.SetHandler(func(Addr, Access) error { return nil })
+				case failHandler:
+					s.SetHandler(func(Addr, Access) error { return errHandler })
+				}
+				want := m.access(i, off, acc, v, handler, fix)
+				var got refOutcome
+				if acc == AccessWrite {
+					got.err = s.WriteU8(addr(i)+Addr(off), v)
+				} else {
+					got.val, got.err = s.ReadU8(addr(i) + Addr(off))
+				}
+				if errClass(got.err) != want.err || got.val != want.val {
+					t.Fatalf("%s: %v got (%d, %v), want (%d, %v)", where("access"), acc, got.val, got.err, want.val, want.err)
+				}
+			case 6, 7: // ProtOf and Mapped
+				p, perr := s.ProtOf(addr(i))
+				d, derr := s.Mapped(addr(i))
+				if !rangeOK(perr, i) || !rangeOK(derr, i) {
+					t.Fatalf("%s: errs %v, %v", where("ProtOf/Mapped"), perr, derr)
+				}
+				if inRange(i) && (p != m.prot[i] || !sameBacking(d, m.data[i])) {
+					t.Fatalf("%s: prot %v (model %v), backing match %v",
+						where("ProtOf/Mapped"), p, m.prot[i], sameBacking(d, m.data[i]))
+				}
+			}
+			if s.Faults() != m.faults || s.Accesses() != m.accesses {
+				t.Fatalf("%s: Faults/Accesses %d/%d, model %d/%d", where("counts"), s.Faults(), s.Accesses(), m.faults, m.accesses)
+			}
+			checkMappedList(t, s, m)
+		}
+		for i := 0; i <= maxFrames; i++ {
+			p, _ := s.ProtOf(addr(i))
+			d, err := s.Mapped(addr(i))
+			if !inRange(i) {
+				if errClass(err) != ErrOutOfRange {
+					t.Fatalf("seed %d: frame %d: err %v, want ErrOutOfRange", seed, i, err)
+				}
+				continue
+			}
+			if p != m.prot[i] || !sameBacking(d, m.data[i]) {
+				t.Fatalf("seed %d: final frame %d: prot %v (model %v), backing match %v", seed, i, p, m.prot[i], sameBacking(d, m.data[i]))
+			}
+		}
+	}
+}
+
+// The frame table grows on demand, so reserving the default 8 GB space
+// allocates only the Space itself.
+func TestNewSpaceAllocatesOnlyBookkeeping(t *testing.T) {
+	const maxFrames = 1 << 20 // core.DefaultMaxFrames
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := NewSpace(testBase, maxFrames, nil)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 4096 {
+		t.Fatalf("NewSpace over %d frames allocated %d bytes, want <= 4096", maxFrames, n)
+	}
+	if s.MaxFrames() != maxFrames {
+		t.Fatalf("MaxFrames() = %d", s.MaxFrames())
+	}
+}
+
+// The mapped-list position lives in the frame's padding.
+func TestFrameStays32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(frame{}); unsafe.Sizeof(uintptr(0)) == 8 && n != 32 {
+		t.Fatalf("frame is %d bytes, want 32", n)
+	}
+}
+
+// BenchmarkProtectAll reprotects a default-sized (1<<20-frame) space with
+// 192 frames mapped across it — the oo7-cold client pool's worth.
+func BenchmarkProtectAll(b *testing.B) {
+	const maxFrames, mapped = 1 << 20, 192
+	s := NewSpace(testBase, maxFrames, nil)
+	for k := 0; k < mapped; k++ {
+		a := testBase + Addr(k*(maxFrames/mapped))*FrameSize
+		if err := s.Map(a, make([]byte, FrameSize), ProtRead); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ProtectAll(Prot(i & 1))
 	}
 }
